@@ -63,6 +63,8 @@ package allconcur
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"time"
 	"unsafe"
 
@@ -142,20 +144,18 @@ type Result struct {
 	Sched            vclock.SchedulerStats
 }
 
-// itemKind tags one news item of an envelope.
-type itemKind uint8
+// valItem is the Detector sentinel of a VAL item.
+const valItem = ^uint32(0)
 
-const (
-	itemVal  itemKind = iota // a value forward: Origin proposed Value
-	itemFail                 // a crash certificate: Detector drained Origin→Detector
-)
-
-// item is one unit of flooded news.
+// item is one unit of flooded news, packed into 8 pointer-free bytes so
+// the item batches of in-flight envelopes cost the GC nothing to scan. A
+// VAL item (Detector == valItem) is the value forward of origin Origin; it
+// carries no value, because origin q can only ever propose proposals[q].
+// A FAIL item is the crash certificate of successor Detector having
+// drained the Origin→Detector channel.
 type item struct {
-	Kind     itemKind
-	Origin   model.ProcID // VAL: the proposer; FAIL: the crashed process
-	Detector model.ProcID // FAIL only: the successor certifying the drain
-	Value    string       // VAL only
+	Origin   uint32 // VAL: the proposer; FAIL: the crashed process
+	Detector uint32 // FAIL: the successor certifying the drain; valItem for VAL
 }
 
 // envelope is one flushed outbox: a per-link-sequenced batch of news
@@ -163,8 +163,7 @@ type item struct {
 // after flush). On the wire it travels as a pooled *envelope built inside
 // the network's burst expansion job (envBuilder) — the recipient recycles
 // the envelope after ingesting it, so steady-state flushes allocate
-// nothing per successor; the value form is still accepted (tests and the
-// unsharded path may produce it).
+// nothing per successor.
 type envelope struct {
 	Seq   uint32
 	Items []item
@@ -199,88 +198,55 @@ type marker struct {
 	Seq uint32
 }
 
-// interval is one maximal run [lo, hi) of delivered origin ids.
-type interval struct{ lo, hi uint32 }
-
-// intervalSet tracks the delivered origins as sorted disjoint half-open
-// intervals. Flood delivery is clustered — crash-free the set collapses
-// to the single interval [0, n) — so it stays a handful of entries where
-// the previous per-origin bool slice cost n bytes per reactor (n² total:
-// the memory wall that blocked n≥16k runs).
-type intervalSet struct {
-	iv    []interval
+// bitmap is one reactor's delivered set: bit q set ⇔ origin q delivered.
+// Its ⌈n/64⌉ words are carved from a run-wide pool holding no pointers
+// (n²/8 bytes for the whole run, never scanned by the GC). The padding
+// bits past n are set at construction, so every word of a complete set is
+// all ones and the complement never names an id ≥ n.
+type bitmap struct {
+	words []uint64
 	count int
+	// full is a monotone cursor: words[:full] are all ones. EachMissing
+	// advances it, so the crash-path completeness check never rescans the
+	// delivered prefix.
+	full int
+}
+
+// newBitmap makes the empty set over [0, n) on words, which must be
+// ⌈n/64⌉ zero words.
+func newBitmap(words []uint64, n int) bitmap {
+	if r := n & 63; r != 0 {
+		words[len(words)-1] = ^uint64(0) << r
+	}
+	return bitmap{words: words}
 }
 
 // Count returns the number of ids in the set.
-func (s *intervalSet) Count() int { return s.count }
+func (s *bitmap) Count() int { return s.count }
 
-// Contains reports whether q is in the set.
-func (s *intervalSet) Contains(q uint32) bool {
-	lo, hi := 0, len(s.iv)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.iv[mid].hi > q {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo < len(s.iv) && s.iv[lo].lo <= q
-}
-
-// Add inserts q, coalescing with its neighbors; it reports whether q was
-// absent.
-func (s *intervalSet) Add(q uint32) bool {
-	// First interval with hi > q; everything before it ends at or below q.
-	lo, hi := 0, len(s.iv)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.iv[mid].hi > q {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	i := lo
-	if i < len(s.iv) && s.iv[i].lo <= q {
+// Add inserts q; it reports whether q was absent.
+func (s *bitmap) Add(q uint32) bool {
+	w, b := &s.words[q>>6], uint64(1)<<(q&63)
+	if *w&b != 0 {
 		return false
 	}
+	*w |= b
 	s.count++
-	joinPrev := i > 0 && s.iv[i-1].hi == q
-	joinNext := i < len(s.iv) && s.iv[i].lo == q+1
-	switch {
-	case joinPrev && joinNext:
-		s.iv[i-1].hi = s.iv[i].hi
-		s.iv = append(s.iv[:i], s.iv[i+1:]...)
-	case joinPrev:
-		s.iv[i-1].hi = q + 1
-	case joinNext:
-		s.iv[i].lo = q
-	default:
-		s.iv = append(s.iv, interval{})
-		copy(s.iv[i+1:], s.iv[i:])
-		s.iv[i] = interval{lo: q, hi: q + 1}
-	}
 	return true
 }
 
-// EachMissing calls fn for every id in [0, n) absent from the set, in
-// ascending order, stopping at the first rejection; it reports whether fn
-// accepted every gap.
-func (s *intervalSet) EachMissing(n uint32, fn func(uint32) bool) bool {
-	next := uint32(0)
-	for _, iv := range s.iv {
-		for q := next; q < iv.lo; q++ {
-			if !fn(q) {
+// EachMissing calls fn for every id absent from the set, in ascending
+// order, stopping at the first rejection; it reports whether fn accepted
+// every gap.
+func (s *bitmap) EachMissing(fn func(uint32) bool) bool {
+	for s.full < len(s.words) && s.words[s.full] == ^uint64(0) {
+		s.full++
+	}
+	for i := s.full; i < len(s.words); i++ {
+		for m := ^s.words[i]; m != 0; m &= m - 1 {
+			if !fn(uint32(i<<6 + bits.TrailingZeros64(m))) {
 				return false
 			}
-		}
-		next = iv.hi
-	}
-	for q := next; q < n; q++ {
-		if !fn(q) {
-			return false
 		}
 	}
 	return true
@@ -319,8 +285,10 @@ type reactor struct {
 	g     *overlay.Graph
 	succ  []model.ProcID
 	preds []model.ProcID
-	value string
-	store *ProcResult
+	// proposals is the run's proposal table: the value of origin q is
+	// proposals[q], so VAL items travel as bare origin ids
+	proposals []string
+	store     *ProcResult
 
 	// crash plan (protocol-level; the driver never kills us)
 	victim  bool
@@ -331,10 +299,9 @@ type reactor struct {
 	sendSeq []uint32        // next seq per successor (succ order)
 	expect  []uint32        // next expected seq per predecessor (pred order)
 	reorder [][]heldPayload // early arrivals per predecessor (pred order)
-	// delivered set as sorted disjoint id intervals
-	delivered intervalSet
+	// delivered set, one bit per origin, carved from a per-run pool
+	delivered bitmap
 	minOrigin model.ProcID // smallest delivered origin (decision candidate)
-	minValue  string
 	// crash certificates: fails[f] non-nil ⇒ f known crashed; bit k set ⇒
 	// FAIL(f, Succ(f)[k]) held (lazily allocated — nil map crash-free)
 	fails map[model.ProcID]*failCert
@@ -374,47 +341,47 @@ func (rx *reactor) crash() bool {
 
 // deliver records origin q's value into the delivered set; it reports
 // whether q was new.
-func (rx *reactor) deliver(q model.ProcID, val string) bool {
+func (rx *reactor) deliver(q model.ProcID) bool {
 	if !rx.delivered.Add(uint32(q)) {
 		return false
 	}
 	if rx.delivered.Count() == 1 || q < rx.minOrigin {
-		rx.minOrigin, rx.minValue = q, val
+		rx.minOrigin = q
 	}
 	return true
 }
 
 // markFail records FAIL(f, s); it reports whether the certificate is new.
+// A malformed certificate (s not a successor of f) is dropped before it
+// can mark f known crashed.
 func (rx *reactor) markFail(f, s model.ProcID) bool {
+	succ := rx.g.Succ(f)
+	k := slices.Index(succ, s)
+	if k < 0 {
+		return false
+	}
 	if rx.fails == nil {
 		rx.fails = make(map[model.ProcID]*failCert)
 	}
-	succ := rx.g.Succ(f)
 	c := rx.fails[f]
 	if c == nil {
 		c = &failCert{bits: make([]uint64, (len(succ)+63)/64)}
 		rx.fails[f] = c
 	}
-	for k, q := range succ {
-		if q == s {
-			return c.add(k)
-		}
-	}
-	return false // s not a successor of f: malformed, never flooded
+	return c.add(k)
 }
 
 // ingestItems folds one envelope's news into the reactor's state.
 func (rx *reactor) ingestItems(items []item) {
 	for _, it := range items {
-		switch it.Kind {
-		case itemVal:
-			if rx.deliver(it.Origin, it.Value) {
-				rx.outbox = append(rx.outbox, it)
-			}
-		case itemFail:
-			if rx.markFail(it.Origin, it.Detector) {
-				rx.outbox = append(rx.outbox, it)
-			}
+		var novel bool
+		if it.Detector == valItem {
+			novel = rx.deliver(model.ProcID(it.Origin))
+		} else {
+			novel = rx.markFail(model.ProcID(it.Origin), model.ProcID(it.Detector))
+		}
+		if novel {
+			rx.outbox = append(rx.outbox, it)
 		}
 	}
 }
@@ -430,13 +397,11 @@ func (rx *reactor) ingest(from model.ProcID, payload any) {
 		rx.ingestItems(p.Items)
 		p.Items = nil
 		rx.net.RecyclePayload(rx.net.ShardOf(rx.id), p)
-	case envelope:
-		rx.ingestItems(p.Items)
 	case marker:
 		// from's channel to us is drained (FIFO: everything it sent before
 		// the tombstone was processed above this call). Certify it.
 		if rx.markFail(from, rx.id) {
-			rx.outbox = append(rx.outbox, item{Kind: itemFail, Origin: from, Detector: rx.id})
+			rx.outbox = append(rx.outbox, item{Origin: uint32(from), Detector: uint32(rx.id)})
 		}
 	}
 }
@@ -490,8 +455,6 @@ func seqOf(payload any) uint32 {
 	switch p := payload.(type) {
 	case *envelope:
 		return p.Seq
-	case envelope:
-		return p.Seq
 	case marker:
 		return p.Seq
 	}
@@ -520,14 +483,13 @@ func (rx *reactor) flushNow() {
 
 // complete reports whether every origin is accounted for: delivered, or
 // provably undeliverable (excludable). The crash-free fast path never
-// walks a closure, and the interval set hands back only the gaps — the
-// old per-origin scan was Θ(n) per invocation.
+// walks a closure, and the bitmap's cursor skips the delivered prefix.
 func (rx *reactor) complete() bool {
 	n := rx.g.N()
 	if rx.delivered.Count() == n {
 		return true
 	}
-	return rx.delivered.EachMissing(uint32(n), func(q uint32) bool {
+	return rx.delivered.EachMissing(func(q uint32) bool {
 		return rx.excludable(model.ProcID(q))
 	})
 }
@@ -596,8 +558,8 @@ func (rx *reactor) React(aborted bool) bool {
 			}
 			rx.h.WakeAfter(rx.crashAt)
 		}
-		rx.deliver(rx.id, rx.value)
-		rx.outbox = append(rx.outbox, item{Kind: itemVal, Origin: rx.id, Value: rx.value})
+		rx.deliver(rx.id)
+		rx.outbox = append(rx.outbox, item{Origin: uint32(rx.id), Detector: valItem})
 		rx.flushNow() // own value leaves immediately, never batched
 	}
 	if rx.victim && rx.h.Now() >= rx.crashAt {
@@ -621,7 +583,7 @@ func (rx *reactor) React(aborted bool) bool {
 	if !rx.decided && rx.complete() {
 		rx.flushNow() // mandatory: successors may still need this news
 		rx.ctr.ObserveRound(1)
-		*rx.store = ProcResult{Status: sim.StatusDecided, Decision: rx.minValue, Delivered: rx.delivered.Count()}
+		*rx.store = ProcResult{Status: sim.StatusDecided, Decision: rx.proposals[rx.minOrigin], Delivered: rx.delivered.Count()}
 		rx.decided = true
 		return false
 	}
@@ -634,6 +596,76 @@ func (rx *reactor) React(aborted bool) bool {
 		rx.h.WakeAfter(rx.flushDelay)
 	}
 	return false
+}
+
+// runState is what a run's reactors share or are carved from: the overlay,
+// the proposal table, the outcome slots, and the pooled backing arrays of
+// every reactor's hot state — the reactors themselves, 2·|E| link sequence
+// counters, |E| reorder-buffer headers and n·⌈n/64⌉ delivered-set words.
+// Per-process map and slice allocations previously dominated setup and
+// resident memory at n≥16k.
+type runState struct {
+	g          *overlay.Graph
+	proposals  []string
+	crashAt    map[model.ProcID]time.Duration
+	flushDelay time.Duration
+	ctr        metrics.Counters
+	procs      []ProcResult
+
+	rxs     []reactor
+	seqPool []uint32
+	bufPool [][]heldPayload
+	bitPool []uint64
+}
+
+func newRunState(g *overlay.Graph, proposals []string, crashAt map[model.ProcID]time.Duration, flushDelay time.Duration) *runState {
+	n := g.N()
+	return &runState{
+		g:          g,
+		proposals:  proposals,
+		crashAt:    crashAt,
+		flushDelay: flushDelay,
+		procs:      make([]ProcResult, n),
+		rxs:        make([]reactor, n),
+		seqPool:    make([]uint32, 2*g.Edges()),
+		bufPool:    make([][]heldPayload, g.Edges()),
+		bitPool:    make([]uint64, n*((n+63)/64)),
+	}
+}
+
+// newReactor initializes process i's reactor, carving its per-link and
+// delivered-set state from the run's pools.
+func (st *runState) newReactor(i int, h *driver.Handle, nw *netsim.Network) *reactor {
+	id := model.ProcID(i)
+	at, victim := st.crashAt[id]
+	succ, preds := st.g.Succ(id), st.g.Pred(id)
+	sendSeq := st.seqPool[:len(succ):len(succ)]
+	st.seqPool = st.seqPool[len(succ):]
+	expect := st.seqPool[:len(preds):len(preds)]
+	st.seqPool = st.seqPool[len(preds):]
+	reorder := st.bufPool[:len(preds):len(preds)]
+	st.bufPool = st.bufPool[len(preds):]
+	w := (st.g.N() + 63) / 64
+	words := st.bitPool[i*w : (i+1)*w : (i+1)*w]
+	st.rxs[i] = reactor{
+		id:         id,
+		h:          h,
+		net:        nw,
+		ctr:        &st.ctr,
+		g:          st.g,
+		succ:       succ,
+		preds:      preds,
+		proposals:  st.proposals,
+		store:      &st.procs[i],
+		victim:     victim,
+		crashAt:    at,
+		sendSeq:    sendSeq,
+		expect:     expect,
+		reorder:    reorder,
+		delivered:  newBitmap(words, st.g.N()),
+		flushDelay: st.flushDelay,
+	}
+	return &st.rxs[i]
 }
 
 // Run executes one atomic-broadcast instance and returns per-process
@@ -670,9 +702,8 @@ func Run(cfg Config) (*Result, error) {
 		crashAt[tc.P] = tc.At
 	}
 
-	var ctr metrics.Counters
+	st := newRunState(g, cfg.Proposals, crashAt, flushDelay)
 	var nw *netsim.Network
-	procs := make([]ProcResult, cfg.N)
 	dcfg := driver.Config{
 		Engine:         cfg.Engine,
 		MaxVirtualTime: cfg.MaxVirtualTime,
@@ -683,47 +714,14 @@ func Run(cfg Config) (*Result, error) {
 		// closes the victim's inbox at the instant, but the tombstone
 		// protocol needs the victim to emit its markers itself.
 	}
-	newNet := driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x93d1_4af2_0e67_b85c, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...)
-	// All reactor hot state comes from three pooled backing arrays (the
-	// reactors themselves, 2·|E| link sequence counters, |E| reorder-buffer
-	// headers) — per-process map and slice allocations previously dominated
-	// setup and resident memory at n≥16k.
-	rxs := make([]reactor, cfg.N)
-	seqPool := make([]uint32, 2*g.Edges())
-	bufPool := make([][]heldPayload, g.Edges())
+	newNet := driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x93d1_4af2_0e67_b85c, &st.ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...)
 	out, err := driver.RunHandlers(dcfg, cfg.N, newNet, func(i int, h *driver.Handle) driver.Reactor {
-		id := model.ProcID(i)
-		at, victim := crashAt[id]
-		succ, preds := g.Succ(id), g.Pred(id)
-		sendSeq := seqPool[:len(succ):len(succ)]
-		seqPool = seqPool[len(succ):]
-		expect := seqPool[:len(preds):len(preds)]
-		seqPool = seqPool[len(preds):]
-		reorder := bufPool[:len(preds):len(preds)]
-		bufPool = bufPool[len(preds):]
-		rxs[i] = reactor{
-			id:         id,
-			h:          h,
-			net:        nw,
-			ctr:        &ctr,
-			g:          g,
-			succ:       succ,
-			preds:      preds,
-			value:      cfg.Proposals[i],
-			store:      &procs[i],
-			victim:     victim,
-			crashAt:    at,
-			sendSeq:    sendSeq,
-			expect:     expect,
-			reorder:    reorder,
-			flushDelay: flushDelay,
-		}
-		return &rxs[i]
+		return st.newReactor(i, h, nw)
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Procs: procs, Metrics: ctr.Read()}
+	res := &Result{Procs: st.procs, Metrics: st.ctr.Read()}
 	res.Elapsed = out.Elapsed
 	res.VirtualTime = out.VirtualTime
 	res.Steps = out.Steps

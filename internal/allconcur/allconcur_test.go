@@ -1,16 +1,21 @@
 package allconcur
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"allforone/internal/failures"
+	"allforone/internal/metrics"
 	"allforone/internal/model"
 	"allforone/internal/overlay"
 	"allforone/internal/sim"
+	"allforone/internal/vclock"
 )
 
 func proposals(n int) []string {
@@ -245,5 +250,158 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("%s: err = %v, want ErrBadConfig", tc.name, err)
 		}
+	}
+}
+
+// TestGoldenSchedulePin pins one crash run's whole schedule to the values
+// the interval-set implementation produced before the delivered set became
+// a bitmap and news items became packed ids: a representation change must
+// move no event. Process 0 crashes at t=0 (never proposes), its successor
+// 2 and process 301 crash mid-flood, so every survivor resolves the
+// suspect closure of origin 0 through a crashed member.
+func TestGoldenSchedulePin(t *testing.T) {
+	const n = 512
+	cfg := baseConfig(n, overlay.Spec{Kind: overlay.KindDeBruijn, Degree: 4})
+	s := failures.NewSchedule(n)
+	for _, c := range []struct {
+		p  model.ProcID
+		at time.Duration
+	}{{0, 0}, {2, 150 * time.Microsecond}, {301, 220 * time.Microsecond}} {
+		if err := s.SetTimed(c.p, c.at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg.Crashes = s
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Steps != 24410 || res.VirtualTime != 1618267 {
+		t.Errorf("Steps %d VirtualTime %d, want 24410 1618267", res.Steps, res.VirtualTime)
+	}
+	wantMetrics := metrics.Snapshot{MsgsSent: 20152, MsgsDelivered: 20068, RoundsTotal: 509, MaxRound: 1}
+	if res.Metrics != wantMetrics {
+		t.Errorf("Metrics %+v, want %+v", res.Metrics, wantMetrics)
+	}
+	wantSched := vclock.SchedulerStats{EventsScheduled: 24410, MaxBucketDepth: 136, ShardEvents: 20062,
+		PoolFlushes: 4523, BurstJobs: 4523, PooledPayloadBytes: 641984, MaxShardStage: 511}
+	if res.Sched != wantSched {
+		t.Errorf("Sched %+v, want %+v", res.Sched, wantSched)
+	}
+	h := sha256.New()
+	for p, pr := range res.Procs {
+		fmt.Fprintf(h, "%d %v %q %d\n", p, pr.Status, pr.Decision, pr.Delivered)
+	}
+	if got, want := fmt.Sprintf("%x", h.Sum(nil)), "50d7e7c5ad697d9f39ae4e302cb410c823e8e9ca7c210633292ef1cede9297a2"; got != want {
+		t.Errorf("per-process (Status, Decision, Delivered) digest %s, want %s", got, want)
+	}
+	for p, want := range map[int]ProcResult{
+		0:   {Status: sim.StatusCrashed},
+		2:   {Status: sim.StatusCrashed, Delivered: 2},
+		3:   {Status: sim.StatusDecided, Decision: "v1", Delivered: n - 1},
+		301: {Status: sim.StatusCrashed, Delivered: 11},
+	} {
+		if res.Procs[p] != want {
+			t.Errorf("proc %d: %+v, want %+v", p, res.Procs[p], want)
+		}
+	}
+}
+
+// TestBitmapMatchesMapReference drives random Add sequences against a map
+// and checks Add's novelty report, Count, and EachMissing: ascending ids,
+// all below n, stopping at the first rejection — including after the
+// cursor has skipped words that filled up.
+func TestBitmapMatchesMapReference(t *testing.T) {
+	for _, n := range []int{2, 63, 64, 65, 2051} {
+		rng := rand.New(rand.NewPCG(uint64(n), 1))
+		s := newBitmap(make([]uint64, (n+63)/64), n)
+		ref := map[uint32]bool{}
+		checkMissing := func(step int) {
+			var missing []uint32
+			if !s.EachMissing(func(q uint32) bool { missing = append(missing, q); return true }) {
+				t.Fatalf("n=%d step %d: EachMissing rejected with an accepting fn", n, step)
+			}
+			var want []uint32
+			for q := uint32(0); q < uint32(n); q++ {
+				if !ref[q] {
+					want = append(want, q)
+				}
+			}
+			if !slices.Equal(missing, want) {
+				t.Fatalf("n=%d step %d: EachMissing = %v, want %v", n, step, missing, want)
+			}
+			if len(want) > 0 {
+				stop := want[rng.IntN(len(want))]
+				var seen []uint32
+				if s.EachMissing(func(q uint32) bool { seen = append(seen, q); return q != stop }) {
+					t.Fatalf("n=%d step %d: EachMissing ignored the rejection at %d", n, step, stop)
+				}
+				if i := slices.Index(want, stop); !slices.Equal(seen, want[:i+1]) {
+					t.Fatalf("n=%d step %d: EachMissing visited %v before stopping, want %v", n, step, seen, want[:i+1])
+				}
+			}
+		}
+		// Fill in an order that completes low words early (so the cursor
+		// advances) while leaving random holes behind it for a while.
+		order := rng.Perm(n)
+		slices.SortStableFunc(order, func(a, b int) int { return a/64 - b/64 })
+		for i := 0; i+1 < len(order); i += 2 {
+			if rng.IntN(3) == 0 {
+				order[i], order[i+1] = order[i+1], order[i]
+			}
+		}
+		for step := 0; step < 2*n; step++ {
+			var q uint32
+			if step < n && rng.IntN(4) != 0 {
+				q = uint32(order[step])
+			} else {
+				q = uint32(rng.IntN(n))
+			}
+			if got, want := s.Add(q), !ref[q]; got != want {
+				t.Fatalf("n=%d step %d: Add(%d) = %v, want %v", n, step, q, got, want)
+			}
+			ref[q] = true
+			if s.Count() != len(ref) {
+				t.Fatalf("n=%d step %d: Count = %d, want %d", n, step, s.Count(), len(ref))
+			}
+			if step%7 == 0 || step == 2*n-1 {
+				checkMissing(step)
+			}
+		}
+		for q := 0; q < n; q++ {
+			s.Add(uint32(q))
+		}
+		if s.Count() != n {
+			t.Fatalf("n=%d: Count = %d after adding every id", n, s.Count())
+		}
+		if !s.EachMissing(func(q uint32) bool { t.Fatalf("n=%d: full set reported %d missing", n, q); return false }) {
+			t.Fatalf("n=%d: full set rejected", n)
+		}
+	}
+}
+
+// TestMarkFailRejectsNonSuccessorCertificate: a FAIL(f, s) item whose s is
+// not a successor of f is malformed and must leave no trace — in
+// particular it must not mark f known crashed, which would let the
+// suspect-closure rule exclude f's value on no evidence.
+func TestMarkFailRejectsNonSuccessorCertificate(t *testing.T) {
+	g, err := overlay.Spec{Kind: overlay.KindCirculant, Degree: 2}.Build(8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newRunState(g, proposals(8), nil, DefaultFlushDelay)
+	rx := st.newReactor(5, nil, nil)
+	f := model.ProcID(0)
+	var s model.ProcID
+	for s = 1; slices.Contains(g.Succ(f), s); s++ {
+	}
+	if rx.markFail(f, s) {
+		t.Fatalf("markFail(%d, %d) accepted a non-successor certificate (Succ = %v)", f, s, g.Succ(f))
+	}
+	if rx.fails[f] != nil {
+		t.Fatalf("malformed FAIL(%d, %d) marked %d known crashed", f, s, f)
+	}
+	if !rx.markFail(f, g.Succ(f)[0]) || rx.fails[f] == nil {
+		t.Fatalf("markFail rejected the well-formed FAIL(%d, %d)", f, g.Succ(f)[0])
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"allforone/internal/driver"
-	"allforone/internal/metrics"
-	"allforone/internal/model"
 	"allforone/internal/netsim"
 	"allforone/internal/overlay"
 	"allforone/internal/sim"
@@ -32,9 +30,9 @@ func (s *lateVictimStub) React(aborted bool) bool {
 	}
 	if !s.started {
 		s.started = true
-		items := []item{{Kind: itemVal, Origin: 0, Value: "v0"}}
-		s.net.Send(0, 1, envelope{Seq: 0, Items: items})
-		s.net.Send(0, 2, envelope{Seq: 0, Items: items})
+		items := []item{{Origin: 0, Detector: valItem}}
+		s.net.Send(0, 1, &envelope{Seq: 0, Items: items})
+		s.net.Send(0, 2, &envelope{Seq: 0, Items: items})
 		s.h.WakeAfter(time.Millisecond)
 	}
 	for {
@@ -42,19 +40,12 @@ func (s *lateVictimStub) React(aborted bool) bool {
 		if !ok {
 			break
 		}
-		// Real reactors flush pooled *envelope payloads; accept the value
-		// form too (this stub sends it).
-		var items []item
-		switch env := m.Payload.(type) {
-		case *envelope:
-			items = env.Items
-		case envelope:
-			items = env.Items
-		default:
+		env, ok := m.Payload.(*envelope)
+		if !ok {
 			continue
 		}
-		for _, it := range items {
-			if it.Kind == itemFail && it.Origin == 0 {
+		for _, it := range env.Items {
+			if it.Detector != valItem && it.Origin == 0 {
 				*s.sawFail = true
 			}
 		}
@@ -82,44 +73,28 @@ func TestDecidedReactorCertifiesLateMarker(t *testing.T) {
 		t.Fatal(err)
 	}
 	var (
-		ctr     metrics.Counters
 		nw      *netsim.Network
 		sawFail bool
 	)
-	procs := make([]ProcResult, 3)
+	st := newRunState(g, []string{"v0", "v1", "v2"}, nil, DefaultFlushDelay)
 	dcfg := driver.Config{
 		Engine:         sim.EngineVirtual,
 		MaxVirtualTime: 50 * time.Millisecond,
 		Complexity:     sim.StepsLinear,
 	}
-	newNet := driver.StandardNet(&nw, 3, 7, &ctr, 0, 20*time.Microsecond)
+	newNet := driver.StandardNet(&nw, 3, 7, &st.ctr, 0, 20*time.Microsecond)
 	_, err = driver.RunHandlers(dcfg, 3, newNet, func(i int, h *driver.Handle) driver.Reactor {
-		id := model.ProcID(i)
 		if i == 0 {
 			return &lateVictimStub{h: h, net: nw, sawFail: &sawFail}
 		}
-		return &reactor{
-			id:         id,
-			h:          h,
-			net:        nw,
-			ctr:        &ctr,
-			g:          g,
-			succ:       g.Succ(id),
-			preds:      g.Pred(id),
-			value:      "v" + string(rune('0'+i)),
-			store:      &procs[i],
-			sendSeq:    make([]uint32, len(g.Succ(id))),
-			expect:     make([]uint32, len(g.Pred(id))),
-			reorder:    make([][]heldPayload, len(g.Pred(id))),
-			flushDelay: DefaultFlushDelay,
-		}
+		return st.newReactor(i, h, nw)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 2; i++ {
-		if procs[i].Status != sim.StatusDecided || procs[i].Decision != "v0" {
-			t.Fatalf("proc %d: status %v decision %q, want decided v0", i, procs[i].Status, procs[i].Decision)
+		if pr := st.procs[i]; pr.Status != sim.StatusDecided || pr.Decision != "v0" {
+			t.Fatalf("proc %d: status %v decision %q, want decided v0", i, pr.Status, pr.Decision)
 		}
 	}
 	if !sawFail {
