@@ -11,14 +11,13 @@ package netsim
 
 import (
 	"math/rand/v2"
-	"slices"
 	"time"
 
 	"allforone/internal/model"
 	"allforone/internal/vclock"
 )
 
-// sendShard is one shard's expansion state. The rng/keys/free fields are
+// sendShard is one shard's expansion state. The rng/fan/free fields are
 // owned by the worker that runs the shard's jobs (or by the token itself at
 // Workers = 1); recycled is owned by the token (fanout release happens
 // under it). The two sides only meet in recycleShardPools, which runs with
@@ -26,7 +25,7 @@ import (
 type sendShard struct {
 	rng      *rand.Rand // per-shard delay stream, derived from the run seed
 	lo, hi   int        // recipient stripe [lo, hi)
-	keys     []uint64   // packed-key scratch, hot across jobs
+	fan      fanScratch // packed-key scratch, hot across jobs
 	free     []*fanout  // worker-side fanout freelist
 	recycled []*fanout  // token-side: released fanouts awaiting merge
 
@@ -93,14 +92,14 @@ func (j *fanJob) closedBit(to int) bool {
 // state, and the staging inserter. The structure mirrors sendFan exactly —
 // draw for every stripe recipient (closed or not, so the shard's RNG
 // stream is independent of who has terminated), skip closed recipients,
-// divert ≥maxPackWait draws to their own delivery events, delta-compress
-// the rest into one fanout.
+// divert ≥maxPackWait draws to their own delivery events, sort and
+// delta-compress the rest into one fanout through the same
+// fanScratch.pack.
 func (j *fanJob) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserter) {
 	nw := j.nw
 	sh := &nw.shards[shard]
 	seqBase += uint64(shard) * nw.seqPerShard
-	keys := sh.keys[:0]
-	maxDelay := uint64(0)
+	keys := sh.fan.keys[:0]
 	switch {
 	case j.dead:
 		// The network was shut down at submit: delayFor draws nothing and
@@ -125,11 +124,7 @@ func (j *fanJob) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserte
 			if j.closedBit(to) {
 				continue
 			}
-			w := uint64(d)
-			if w > maxDelay {
-				maxDelay = w
-			}
-			keys = append(keys, w<<fanSeqBits|uint64(to))
+			keys = append(keys, uint64(d)<<fanSeqBits|uint64(to))
 		}
 	default:
 		overflows := uint64(0)
@@ -158,42 +153,17 @@ func (j *fanJob) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserte
 					&delivery{nw: nw, box: nw.vboxes[to], msg: m, shard: -1})
 				continue
 			}
-			w := uint64(d)
-			if w > maxDelay {
-				maxDelay = w
-			}
-			keys = append(keys, w<<fanSeqBits|uint64(to))
+			keys = append(keys, uint64(d)<<fanSeqBits|uint64(to))
 		}
 	}
 	if len(keys) == 0 {
-		sh.keys = keys
+		sh.fan.keys = keys
 		return
 	}
-	// Sorting the full packed words orders by (delay, recipient); the
-	// stripe was scanned in ascending recipient order, so ties resolve
-	// exactly like the serial path's stable radix sort of SendAll.
-	slices.Sort(keys)
-	first := j.at + vclock.Time(keys[0]>>fanSeqBits)
 	f := sh.getFanout(nw, shard, len(keys))
 	f.from = j.from
 	f.payload = j.payload
-	f.base = first
-	prev := keys[0] >> fanSeqBits
-	for _, k := range keys {
-		gap := (k >> fanSeqBits) - prev
-		if gap >= 1<<(32-fanSeqBits) {
-			// A consecutive-arrival gap too wide for the compressed form:
-			// keep the sorted keys uncompressed (same fallback as sendFan).
-			f.key32 = f.key32[:0]
-			f.key64 = append([]uint64(nil), keys...)
-			f.base = j.at
-			break
-		}
-		prev = k >> fanSeqBits
-		f.key32 = append(f.key32, uint32(gap)<<fanSeqBits|uint32(k&(maxPackFan-1)))
-	}
-	sh.keys = keys[:0]
-	ins.At(first, seqBase, f)
+	ins.At(sh.fan.pack(f, keys, j.at), seqBase, f)
 }
 
 // submitFanAll is SendAll's sharded form: capture the job under the token,

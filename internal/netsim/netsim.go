@@ -21,6 +21,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -147,8 +148,7 @@ type Network struct {
 	freeDeliveries []*delivery
 	freeFanouts    []*fanout
 	everyone       []model.ProcID // the 0 … n-1 recipient list (SendAll); built once in New
-	sortKeys       []uint64       // packed-key build/sort scratch (sendFan)
-	sortAlt        []uint64       // radix-sort ping-pong scratch (sendFan)
+	fan            fanScratch     // packed-key scratch (sendFan)
 	closedBox      []uint64       // closed-inbox bitmap, mirrors vboxes[i].Closed()
 
 	// Sharded expansion state (fanshard.go); nil unless the scheduler is
@@ -200,10 +200,11 @@ func (d *delivery) Fire() {
 // zero allocations once the pool is warm.
 //
 // Arrivals are sorted at send time as packed uint64 words —
-// (delay << fanSeqBits) | recipient — in network-level scratch (hot across
-// broadcasts), then stored on the fanout delta-compressed: each uint32
-// entry is (gap to the previous arrival << fanSeqBits) | recipient, with
-// f.base tracking the absolute instant of the next undelivered arrival.
+// (delay << fanSeqBits) | recipient — in its owner's fanScratch (hot
+// across broadcasts), then stored on the fanout delta-compressed
+// (fanScratch.pack): each uint32 entry is (gap to the previous arrival <<
+// fanSeqBits) | recipient, with f.base tracking the absolute instant of
+// the next undelivered arrival.
 // Compression is lossless (gaps sum back to the exact drawn delays) and
 // matters because a broadcast's undelivered tail keeps the fanout live for
 // the full delay span: at n=1024 thousands of fanouts are in flight at
@@ -235,47 +236,116 @@ const (
 	maxPackWait = vclock.Time(1) << (63 - fanSeqBits)
 )
 
-// LSD radix geometry: 12-bit digits sort the common case — sub-4ms delay
-// plus 13 recipient bits ≈ 35 significant bits — in three linear passes.
-const (
-	radixBits = 12
-	radixSize = 1 << radixBits
-)
+// sortSmall is the size at or below which sortArrivals only
+// insertion-sorts: a paper-scale broadcast (n=7) never pays a counting
+// pass.
+const sortSmall = 24
 
-// radixSortU64 sorts keys by LSD counting passes on the digits from lowBit
-// up, using *alt as the ping-pong buffer; bits below lowBit are ignored by
-// the ordering but ride along, and keys with equal sorted digits keep
-// their input order (each pass is a stable counting sort). Passing the
-// delay field's offset as lowBit sorts a fanout by arrival instant with
-// the append position — recipient order — as the tie-break, without
-// spending a radix pass on the recipient bits. Returns the sorted slice
-// (which may be *alt's backing array; the other array is left in *alt).
-func radixSortU64(keys []uint64, alt *[]uint64, maxKey uint64, lowBit uint) []uint64 {
-	if cap(*alt) < len(keys) {
-		*alt = make([]uint64, len(keys))
+// fanScratch is the packed-key scratch of one fanout owner — the network's
+// for the serial sendFan, each shard's for its fanJob stripes — so the
+// warm path allocates nothing.
+type fanScratch struct {
+	keys   []uint64 // (delay<<fanSeqBits)|recipient, appended by the draw loop
+	buf    []uint64 // sortArrivals' scatter buffer
+	counts []int32  // sortArrivals' bucket counters
+}
+
+// pack sorts keys (non-empty, built in s.keys' backing array) by arrival
+// and stores them on f delta-compressed, relative to the send instant at;
+// it returns the first arrival instant, where f must be scheduled. A
+// consecutive-arrival gap too wide for the compressed form (> ~0.5 virtual
+// ms) keeps the sorted keys uncompressed in f.key64 instead.
+func (s *fanScratch) pack(f *fanout, keys []uint64, at vclock.Time) vclock.Time {
+	if cap(s.buf) < len(keys) {
+		s.buf = make([]uint64, len(keys))
 	}
-	tmp := (*alt)[:len(keys)]
-	var counts [radixSize]int32
-	for shift := lowBit; maxKey>>shift != 0; shift += radixBits {
-		counts = [radixSize]int32{}
-		for _, k := range keys {
-			counts[(k>>shift)&(radixSize-1)]++
+	sortArrivals(keys, s.buf[:len(keys)], &s.counts)
+	s.keys = keys[:0]
+	first := at + vclock.Time(keys[0]>>fanSeqBits)
+	f.base = first
+	prev := keys[0] >> fanSeqBits
+	for _, k := range keys {
+		gap := k>>fanSeqBits - prev
+		if gap >= 1<<(32-fanSeqBits) {
+			f.key32 = f.key32[:0]
+			f.key64 = append([]uint64(nil), keys...)
+			f.base = at
+			break
 		}
-		sum := int32(0)
-		for i := range counts {
-			c := counts[i]
-			counts[i] = sum
-			sum += c
-		}
-		for _, k := range keys {
-			d := (k >> shift) & (radixSize - 1)
-			tmp[counts[d]] = k
-			counts[d]++
-		}
-		keys, tmp = tmp, keys
+		prev = k >> fanSeqBits
+		f.key32 = append(f.key32, uint32(gap)<<fanSeqBits|uint32(k&(maxPackFan-1)))
 	}
-	*alt = tmp[:0]
-	return keys
+	return first
+}
+
+// sortArrivals sorts packed keys in place by their delay field, stably:
+// arrivals due at one instant keep their input order — recipient-list
+// order on the serial path, ascending stripe order on the sharded one —
+// so the recipient bits never need sorting. buf is scratch of len(keys).
+// Inputs above sortSmall are first bucketed by scatterArrivals; the final
+// insertion pass then only undoes disorder inside buckets, O(k) when the
+// buckets are small.
+func sortArrivals(keys, buf []uint64, counts *[]int32) {
+	if len(keys) > sortSmall {
+		scatterArrivals(keys, buf, counts)
+	}
+	for i := 1; i < len(keys); i++ {
+		k, j := keys[i], i
+		for ; j > 0 && keys[j-1]>>fanSeqBits > k>>fanSeqBits; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+	}
+}
+
+// scatterArrivals counts keys into at most len(keys) buckets of equal
+// delay width, (delay-min)>>shift, and scatters them stably through buf,
+// so that only keys sharing a bucket can remain out of order. A bucket
+// holding more than sortSmall keys (a tight cluster beside a far outlier)
+// is sorted by sortArrivals on its own: it spans 2^shift delays while its
+// parent has at least 16 buckets, so each level narrows the delay range
+// by at least 4 bits — at most 13 linear passes for the 50-bit delay
+// field, never quadratic time.
+func scatterArrivals(keys, buf []uint64, counts *[]int32) {
+	lo, hi := keys[0]>>fanSeqBits, keys[0]>>fanSeqBits
+	for _, k := range keys[1:] {
+		lo, hi = min(lo, k>>fanSeqBits), max(hi, k>>fanSeqBits)
+	}
+	if lo == hi {
+		return
+	}
+	shift := max(0, bits.Len64(hi-lo)-bits.Len(uint(len(keys)))+1)
+	nb := int((hi-lo)>>shift) + 1
+	if cap(*counts) < nb {
+		*counts = make([]int32, nb)
+	}
+	c := (*counts)[:nb]
+	clear(c)
+	for _, k := range keys {
+		c[(k>>fanSeqBits-lo)>>shift]++
+	}
+	sum, crowded := int32(0), false
+	for i, n := range c {
+		c[i] = sum
+		sum += n
+		crowded = crowded || n > sortSmall
+	}
+	for _, k := range keys {
+		b := (k>>fanSeqBits - lo) >> shift
+		buf[c[b]] = k
+		c[b]++
+	}
+	copy(keys, buf)
+	for i := 0; crowded && i < len(keys); {
+		b, j := (keys[i]>>fanSeqBits-lo)>>shift, i+1
+		for j < len(keys) && (keys[j]>>fanSeqBits-lo)>>shift == b {
+			j++
+		}
+		if j-i > sortSmall {
+			sortArrivals(keys[i:j], buf[i:j], counts)
+		}
+		i = j
+	}
 }
 
 // Fire delivers every arrival due at the current instant, then either
@@ -542,29 +612,9 @@ func (nw *Network) sendFan(from model.ProcID, payload any, recipients []model.Pr
 		}
 		return
 	}
-	if nw.n > maxPackFan {
-		// Recipient ids no longer fit the packed key; fall back to one
-		// pooled delivery event per message (same semantics, unbatched).
-		for _, to := range recipients {
-			if int(to) < 0 || int(to) >= nw.n {
-				continue
-			}
-			m := Message{From: from, To: to, Payload: payload}
-			d := nw.delayFor(m)
-			if nw.boxClosed(to) {
-				continue
-			}
-			ev := nw.getDelivery()
-			ev.box = nw.vboxes[to]
-			ev.msg = m
-			nw.opts.sched.AfterEvent(vclock.Time(d), ev)
-		}
-		return
-	}
 	now := vclock.Time(nw.opts.sched.Now())
-	keys := nw.sortKeys[:0]
-	maxDelay := uint64(0)
-	if nw.opts.uniform && !nw.closed.Load() && vclock.Time(nw.opts.uniMin+nw.opts.uniSpan) < maxPackWait {
+	keys := nw.fan.keys[:0]
+	if nw.opts.uniform && nw.n <= maxPackFan && !nw.closed.Load() && vclock.Time(nw.opts.uniMin+nw.opts.uniSpan) < maxPackWait {
 		// Uniform-delay fast path: inline the WithUniformDelay draw — the
 		// identical RNG stream, minus a Message construction and closure
 		// call per recipient. The scheduler token serializes all network
@@ -587,11 +637,7 @@ func (nw *Network) sendFan(from model.ProcID, payload any, recipients []model.Pr
 			if nw.boxClosed(to) {
 				continue
 			}
-			w := uint64(d)
-			if w > maxDelay {
-				maxDelay = w
-			}
-			keys = append(keys, w<<fanSeqBits|uint64(to))
+			keys = append(keys, uint64(d)<<fanSeqBits|uint64(to))
 		}
 	} else {
 		for _, to := range recipients {
@@ -609,48 +655,28 @@ func (nw *Network) sendFan(from model.ProcID, payload any, recipients []model.Pr
 				// rebroadcasts DECIDE to mostly-terminated peers.
 				continue
 			}
-			if vclock.Time(d) >= maxPackWait {
-				// A ≥13-virtual-day draw overflows the key's delay field:
-				// this one arrival rides its own delivery event.
+			if nw.n > maxPackFan || vclock.Time(d) >= maxPackWait {
+				// Recipient ids beyond the packed key's, or a ≥13-virtual-
+				// day draw overflowing its delay field: this one arrival
+				// rides its own pooled delivery event (same semantics,
+				// unbatched).
 				ev := nw.getDelivery()
 				ev.box = nw.vboxes[to]
 				ev.msg = Message{From: from, To: to, Payload: payload}
 				nw.opts.sched.AfterEvent(vclock.Time(d), ev)
 				continue
 			}
-			w := uint64(d)
-			if w > maxDelay {
-				maxDelay = w
-			}
-			keys = append(keys, w<<fanSeqBits|uint64(to))
+			keys = append(keys, uint64(d)<<fanSeqBits|uint64(to))
 		}
 	}
 	if len(keys) == 0 {
-		nw.sortKeys = keys
+		nw.fan.keys = keys
 		return
 	}
-	keys = radixSortU64(keys, &nw.sortAlt, maxDelay<<fanSeqBits, fanSeqBits)
-	first := now + vclock.Time(keys[0]>>fanSeqBits)
 	f := nw.getFanout(len(keys))
 	f.from = from
 	f.payload = payload
-	f.base = first
-	prev := keys[0] >> fanSeqBits
-	for _, k := range keys {
-		gap := (k >> fanSeqBits) - prev
-		if gap >= 1<<(32-fanSeqBits) {
-			// A consecutive-arrival gap too wide for the compressed form
-			// (> ~0.5 virtual ms): keep the sorted keys uncompressed.
-			f.key32 = f.key32[:0]
-			f.key64 = append([]uint64(nil), keys...)
-			f.base = now
-			break
-		}
-		prev = k >> fanSeqBits
-		f.key32 = append(f.key32, uint32(gap)<<fanSeqBits|uint32(k&(maxPackFan-1)))
-	}
-	nw.sortKeys = keys[:0]
-	nw.opts.sched.AtEvent(first, f)
+	nw.opts.sched.AtEvent(nw.fan.pack(f, keys, now), f)
 }
 
 // SendAll transmits payload from one process to every process (including

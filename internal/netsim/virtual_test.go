@@ -206,7 +206,7 @@ func TestVirtualSendAllSteadyStateAllocs(t *testing.T) {
 		nw.Bind(model.ProcID(p), proc)
 	}
 	const rounds = 400
-	payload := "round" // one shared payload: the path itself must not box
+	var payload any = "round" // boxed once here, so every allocation counted below is the path's own
 	var allocs uint64
 	sender := s.Spawn("sender", func() {
 		// Each round broadcasts and then consumes the loopback delivery, so

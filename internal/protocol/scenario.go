@@ -230,5 +230,11 @@ func (sc *Scenario) NetOptions(n int, part *model.Partition) ([]netsim.Option, e
 	if fn == nil {
 		return nil, nil
 	}
+	if u, ok := sc.Profile.(*uniformProfile); ok {
+		// The same draw on the same RNG stream as the compiled function,
+		// but netsim knows the band: its fanout loops inline the draw, and
+		// a positive minimum becomes the sharded paths' lookahead hint.
+		return []netsim.Option{netsim.WithUniformDelay(u.min, u.max)}, nil
+	}
 	return []netsim.Option{netsim.WithTimedDelayFn(fn)}, nil
 }
